@@ -21,17 +21,22 @@
 // A heavy-first DFS makes both every subtree and every heavy path a
 // contiguous range of DFS positions. The contraction structure ("the
 // ladder") is a perfect binary tree over those positions with lazy
-// range-add and leftmost-argmin range-min: leaf p holds
-// c(order[p]) − 2·B(v, order[p]) for the currently fixed edge e_v, so
-// the best partner for e_v is one range query. Fixing the next edge is
-// cheap exactly on heavy paths: walking from a path's head to its leaf
-// re-evaluates only the graph edges incident to the vertex left behind
-// and its light subtrees, which is the classic O(log n)-re-evaluations-
-// per-edge bound, each an O(log n)-hop path update. Heavy paths are
-// independent of each other and restore the structure on exit, so they
-// run either sequentially on one ladder (O(n) extra memory) or chunked
-// across the pool with one ladder per chunk — the same memory/depth
-// trade the bough scan exposes as ParallelPhases.
+// range-add and leftmost-argmin range-min, both iterative walks: leaf p
+// holds c(order[p]) − 2·B(v, order[p]) for the currently fixed edge
+// e_v, so the best partner for e_v is one root-to-leaf query. Fixing
+// the next edge is cheap exactly on heavy paths: walking from a path's
+// head to its leaf re-evaluates only the graph edges incident to the
+// vertex left behind and its light subtrees, which is the classic
+// O(log n)-re-evaluations-per-edge bound: O(m log n) path updates per
+// tree, each O(log n) heavy-path hops of an O(log n) range add, so
+// O(m log³ n) work per tree. Heavy paths are independent of each
+// other: each starts from a pristine checkpoint of the ladder, built
+// once per tree, and on exit restores the nodes it touched from it (the
+// whole ladder, once it touched more nodes than the ladder has). So
+// they run either sequentially on one ladder (O(n) extra memory) or
+// chunked across the pool with one ladder per chunk, all sharing the
+// checkpoint — the same memory/depth trade the bough scan exposes as
+// ParallelPhases.
 //
 // Determinism: candidates are combined in (heavy path, position) order
 // with strict <, the ladder returns the leftmost argmin, and chunk
@@ -118,6 +123,9 @@ func (d *decomposition) build(parent []int32, childEnd, childList, bfs []int32) 
 	}
 	for v := 0; v < n; v++ {
 		if p := parent[v]; p >= 0 {
+			if int(p) >= n {
+				return fmt.Errorf("abscan: parent[%d] = %d out of range", v, p)
+			}
 			childEnd[p]++
 		} else {
 			if d.root >= 0 {
@@ -222,104 +230,183 @@ func (d *decomposition) build(parent []int32, childEnd, childList, bfs []int32) 
 
 // ladder is the bounded-depth contraction structure: a perfect binary
 // tree over DFS positions with lazy range-add and leftmost-argmin
-// range-min, depth ⌈log₂ n⌉. minv[x] includes the lazy adds at and
-// below x; ancestors' pending adds are accumulated on the way down.
+// range-min, depth h = log₂ base. Node x has children 2x and 2x+1, leaf
+// p is node base+p, and every node keeps the invariant
+// minv[x] = min(minv[2x], minv[2x+1]) + lazy[x] (leaves: their value
+// plus their own adds), with arg[x] the leftmost position attaining it.
+// All operations are iterative walks over the implicit tree.
+//
+// Between heavy paths the ladder returns to its pristine post-reset
+// state: every node an add writes is recorded, and restore copies those
+// nodes back (or the whole arrays, once the list outgrows them).
 type ladder struct {
 	base int // leaf count, power of two >= n
+	h    int // log₂ base
 	minv []int64
 	arg  []int32
 	lazy []int64
+
+	pristine checkpoint // post-reset minv/arg; shared read-only
+	touched  []int32    // nodes written since the last restore
+	full     bool       // touched overflowed: restore copies everything
 }
 
-// reset initializes the ladder over vals (leaf p = vals[p]); leaves at
-// and past len(vals), and leaf 0 (the root vertex, which names no tree
-// edge), hold the +inf sentinel. No range-add ever reaches a sentinel
-// leaf — addPath never touches position 0 — so sentinels stay inert.
-func (t *ladder) reset(vals []int64) {
-	base := 1
-	for base < len(vals) {
+// checkpoint is the ladder state S(∅) every heavy path starts from and
+// returns to. lazy is all zero there, so only minv and arg are kept.
+type checkpoint struct {
+	minv []int64
+	arg  []int32
+}
+
+// ladderBase returns the leaf count (smallest power of two >= n) and
+// its log₂.
+func ladderBase(n int) (base, h int) {
+	base = 1
+	for base < n {
 		base *= 2
+		h++
 	}
-	t.base = base
+	return base, h
+}
+
+// build fills cp (both slices of length 2·base) with the ladder over
+// vals (leaf p = vals[p]); leaves at and past len(vals), and leaf 0
+// (the root vertex, which names no tree edge), hold the +inf sentinel.
+// No range-add ever reaches a sentinel leaf — addPath never touches
+// position 0 — so sentinels stay inert.
+func (cp checkpoint) build(vals []int64) {
+	base := len(cp.minv) / 2
 	for p := 0; p < base; p++ {
 		if p > 0 && p < len(vals) {
-			t.minv[base+p] = vals[p]
+			cp.minv[base+p] = vals[p]
 		} else {
-			t.minv[base+p] = maxValue
+			cp.minv[base+p] = maxValue
 		}
-		t.arg[base+p] = int32(p)
-		t.lazy[base+p] = 0
+		cp.arg[base+p] = int32(p)
 	}
 	for x := base - 1; x >= 1; x-- {
 		l, r := 2*x, 2*x+1
-		if t.minv[l] <= t.minv[r] {
-			t.minv[x], t.arg[x] = t.minv[l], t.arg[l]
+		if cp.minv[l] <= cp.minv[r] {
+			cp.minv[x], cp.arg[x] = cp.minv[l], cp.arg[l]
 		} else {
-			t.minv[x], t.arg[x] = t.minv[r], t.arg[r]
+			cp.minv[x], cp.arg[x] = cp.minv[r], cp.arg[r]
 		}
-		t.lazy[x] = 0
 	}
 }
 
-// add adds delta to positions [l, r] (inclusive; no-op when l > r).
+// reset loads the pristine state into the ladder and empties the
+// touched list.
+func (t *ladder) reset() {
+	copy(t.minv, t.pristine.minv)
+	copy(t.arg, t.pristine.arg)
+	clear(t.lazy)
+	t.touched = t.touched[:0]
+	t.full = false
+}
+
+// restore returns the ladder to its post-reset state. Restoring a node
+// is idempotent, so duplicates in the touched list are harmless.
+func (t *ladder) restore() {
+	if t.full {
+		t.reset()
+		return
+	}
+	for _, x := range t.touched {
+		t.minv[x] = t.pristine.minv[x]
+		t.arg[x] = t.pristine.arg[x]
+		t.lazy[x] = 0
+	}
+	t.touched = t.touched[:0]
+}
+
+// add adds delta to positions [l, r] (inclusive; no-op when l > r). The
+// canonical cover of the range takes the add lazily; then the strict
+// ancestors of the cover — the nodes on the paths from both boundary
+// leaves to the root that the range only partly covers — are
+// recomputed bottom-up in one joint walk, level by level and once each.
 func (t *ladder) add(l, r int, delta int64) {
 	if l > r {
 		return
 	}
-	t.addRec(1, 0, t.base-1, l, r, delta)
+	lo, hi := l+t.base, r+t.base+1 // half-open leaf range
+	for a, b := lo, hi; a < b; a, b = a>>1, b>>1 {
+		if a&1 == 1 {
+			t.apply(a, delta)
+			a++
+		}
+		if b&1 == 1 {
+			b--
+			t.apply(b, delta)
+		}
+	}
+	for i := 1; i <= t.h; i++ {
+		x := -1
+		if (lo>>i)<<i != lo {
+			x = lo >> i
+			t.pull(x)
+		}
+		if (hi>>i)<<i != hi {
+			if y := (hi - 1) >> i; y != x {
+				t.pull(y)
+			}
+		}
+	}
+	if !t.full && len(t.touched) >= 2*t.base {
+		t.full = true
+		t.touched = t.touched[:0]
+	}
 }
 
-func (t *ladder) addRec(x, lo, hi, l, r int, delta int64) {
-	if r < lo || hi < l {
-		return
+// apply adds delta to the whole subtree of node x, lazily.
+func (t *ladder) apply(x int, delta int64) {
+	t.minv[x] += delta
+	t.lazy[x] += delta
+	t.touch(x)
+}
+
+// pull recomputes node x from its children; ties keep the left child,
+// so arg stays the leftmost argmin.
+func (t *ladder) pull(x int) {
+	l := 2 * x
+	ml, mr := t.minv[l], t.minv[l+1]
+	right := 0 // branch-free select: the comparison is a coin flip
+	if mr < ml {
+		right = 1
 	}
-	if l <= lo && hi <= r {
-		t.minv[x] += delta
-		t.lazy[x] += delta
-		return
-	}
-	mid := (lo + hi) / 2
-	t.addRec(2*x, lo, mid, l, r, delta)
-	t.addRec(2*x+1, mid+1, hi, l, r, delta)
-	if t.minv[2*x] <= t.minv[2*x+1] {
-		t.minv[x] = t.minv[2*x] + t.lazy[x]
-		t.arg[x] = t.arg[2*x]
-	} else {
-		t.minv[x] = t.minv[2*x+1] + t.lazy[x]
-		t.arg[x] = t.arg[2*x+1]
+	t.minv[x], t.arg[x] = min(ml, mr)+t.lazy[x], t.arg[l+right]
+	t.touch(x)
+}
+
+// touch records node x for restore, unless restore will copy
+// everything anyway.
+func (t *ladder) touch(x int) {
+	if !t.full {
+		t.touched = append(t.touched, int32(x))
 	}
 }
 
-// min returns the minimum over positions [l, r] and the leftmost
-// position attaining it ((maxValue, -1) when the range is empty).
-func (t *ladder) min(l, r int) (int64, int32) {
-	if l > r {
-		return maxValue, -1
+// minExcept returns the minimum over every position other than p and
+// the leftmost position attaining it, in one root-to-leaf walk: the
+// siblings hanging off the path to leaf p partition the other
+// positions, and each contributes its subtree minimum plus the lazy
+// adds above it. Sentinel leaves never win (strict <), so the result is
+// (maxValue, -1) when no other position holds a finite value.
+func (t *ladder) minExcept(p int) (int64, int32) {
+	best, arg := maxValue, int32(-1)
+	acc := int64(0)
+	x := 1
+	for i := t.h - 1; i >= 0; i-- {
+		acc += t.lazy[x]
+		x *= 2
+		sib := x + 1
+		if (p>>i)&1 == 1 {
+			x, sib = sib, x
+		}
+		if v, a := t.minv[sib]+acc, t.arg[sib]; v < best || (v == best && a < arg) {
+			best, arg = v, a
+		}
 	}
-	return t.minRec(1, 0, t.base-1, l, r, 0)
-}
-
-func (t *ladder) minRec(x, lo, hi, l, r int, acc int64) (int64, int32) {
-	if r < lo || hi < l {
-		return maxValue, -1
-	}
-	if l <= lo && hi <= r {
-		return t.minv[x] + acc, t.arg[x]
-	}
-	acc += t.lazy[x]
-	mid := (lo + hi) / 2
-	lv, la := t.minRec(2*x, lo, mid, l, r, acc)
-	rv, ra := t.minRec(2*x+1, mid+1, hi, l, r, acc)
-	if lv <= rv {
-		return lv, la
-	}
-	return rv, ra
-}
-
-// pathAdd is one undo-log entry: addPath(x, y, delta) was applied.
-type pathAdd struct {
-	x, y  int32
-	delta int64
+	return best, arg
 }
 
 // pathOut is one heavy path's best candidate.
@@ -334,20 +421,14 @@ type sweep struct {
 	d   *decomposition
 	adj *graph.Adj
 	c   []int64
-	lad *ladder
-	log []pathAdd
+	lad ladder
 }
 
 // addPath adds delta to the ladder position of every tree edge on the
 // tree path x..y, by heavy-path hops: positions along one heavy path
 // are consecutive, and the edge out of a path's head is the head's own
-// position. Appends to the undo log.
+// position.
 func (s *sweep) addPath(x, y int32, delta int64) {
-	s.log = append(s.log, pathAdd{x: x, y: y, delta: delta})
-	s.applyPath(x, y, delta)
-}
-
-func (s *sweep) applyPath(x, y int32, delta int64) {
 	d := s.d
 	for d.head[x] != d.head[y] {
 		if d.depth[d.head[x]] < d.depth[d.head[y]] {
@@ -364,15 +445,6 @@ func (s *sweep) applyPath(x, y int32, delta int64) {
 		// x is the LCA; the path covers the edges of (x, y]'s vertices.
 		s.lad.add(int(d.tin[x])+1, int(d.tin[y]), delta)
 	}
-}
-
-// undo replays the log backwards, restoring the ladder to S(∅).
-func (s *sweep) undo() {
-	for i := len(s.log) - 1; i >= 0; i-- {
-		e := s.log[i]
-		s.applyPath(e.x, e.y, -e.delta)
-	}
-	s.log = s.log[:0]
 }
 
 // shift re-evaluates the graph edges of vertex x for the transition from
@@ -398,8 +470,8 @@ func (s *sweep) shift(x, v, u int32) {
 // runPath scans the heavy path with head hd: enters S(hd) by activating
 // every graph edge crossing e_hd, then walks down the path, querying the
 // best partner for each fixed edge and shifting the active set to the
-// heavy child, and finally undoes its updates so the ladder is clean for
-// the next path.
+// heavy child, and finally restores the ladder from its checkpoint so it
+// is clean for the next path.
 func (s *sweep) runPath(hd int32) pathOut {
 	d := s.d
 	adj := s.adj
@@ -421,13 +493,7 @@ func (s *sweep) runPath(hd int32) pathOut {
 		// Best partner for e_v: min over every other edge position. The
 		// fixed edge's own position must be excluded (its leaf currently
 		// holds c(v) − 2·B(v,v), which is not a pair value).
-		tv := int(d.tin[v])
-		m1, a1 := s.lad.min(1, tv-1)
-		m2, a2 := s.lad.min(tv+1, s.d.n-1)
-		m, a := m1, a1
-		if m2 < m {
-			m, a = m2, a2
-		}
+		m, a := s.lad.minExcept(int(d.tin[v]))
 		if a >= 0 && m < maxValue/2 && s.c[v]+m < out.value {
 			out = pathOut{value: s.c[v] + m, u: v, v: d.order[a]}
 		}
@@ -449,7 +515,7 @@ func (s *sweep) runPath(hd int32) pathOut {
 		}
 		v = u
 	}
-	s.undo()
+	s.lad.restore()
 	return out
 }
 
@@ -514,6 +580,20 @@ func Scan(ctx context.Context, g *graph.Graph, adj *graph.Adj, deg []int64, pare
 	for v := 0; v < n; v++ {
 		c[v] -= 2 * rho[v]
 	}
+	// The pristine ladder S(∅), built once and shared read-only by every
+	// sweep. Leaf p carries c(order[p]): ladder positions are DFS
+	// positions. rho is dead from here on and holds the leaf values.
+	base, _ := ladderBase(n)
+	ckMinvP := ar.Int64(2 * base)
+	ckArgP := ar.Int32(2 * base)
+	defer ar.PutInt64(ckMinvP)
+	defer ar.PutInt32(ckArgP)
+	ckpt := checkpoint{minv: *ckMinvP, arg: *ckArgP}
+	vals := rho
+	for p := 0; p < n; p++ {
+		vals[p] = c[d.order[p]]
+	}
+	ckpt.build(vals)
 	m.Add(int64(g.M())*logn+int64(2*n), logn)
 	csp.End()
 
@@ -544,7 +624,7 @@ func Scan(ctx context.Context, g *graph.Graph, adj *graph.Adj, deg []int64, pare
 	defer par.PutSlice(ar, outsP)
 	outs := *outsP
 	runRange := func(lo, hi int) error {
-		sw, putSweep := newSweep(d, adj, c, ar)
+		sw, putSweep := newSweep(d, adj, c, ckpt, ar)
 		defer putSweep()
 		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
@@ -612,32 +692,27 @@ func buildDecomposition(parent []int32, ar *par.Arena) (*decomposition, func(), 
 	return d, put, nil
 }
 
-// newSweep borrows a ladder (and undo log) sized for d from the arena.
-func newSweep(d *decomposition, adj *graph.Adj, c []int64, ar *par.Arena) (*sweep, func()) {
-	base := 1
-	for base < d.n {
-		base *= 2
-	}
+// newSweep borrows a ladder sized like cp from the arena and loads cp
+// into it.
+func newSweep(d *decomposition, adj *graph.Adj, c []int64, cp checkpoint, ar *par.Arena) (*sweep, func()) {
+	base, h := ladderBase(d.n)
 	minvP := ar.Int64(2 * base)
 	lazyP := ar.Int64(2 * base)
 	argP := ar.Int32(2 * base)
-	logP := par.Slice[pathAdd](ar, 0)
-	lad := &ladder{minv: *minvP, lazy: *lazyP, arg: *argP}
-	// Leaf p carries c(order[p]): ladder positions are DFS positions.
-	valsP := ar.Int64(d.n)
-	vals := *valsP
-	for p := 0; p < d.n; p++ {
-		vals[p] = c[d.order[p]]
-	}
-	lad.reset(vals)
-	ar.PutInt64(valsP)
-	sw := &sweep{d: d, adj: adj, c: c, lad: lad, log: *logP}
+	// One add records at most 4h+2 nodes and the list is cut at 2·base,
+	// so this capacity never grows.
+	touchedP := ar.Int32(2*base + 4*h + 2)
+	sw := &sweep{d: d, adj: adj, c: c, lad: ladder{
+		base: base, h: h,
+		minv: *minvP, arg: *argP, lazy: *lazyP,
+		pristine: cp, touched: (*touchedP)[:0],
+	}}
+	sw.lad.reset()
 	put := func() {
-		*logP = sw.log[:0]
-		par.PutSlice(ar, logP)
 		ar.PutInt64(minvP)
 		ar.PutInt64(lazyP)
 		ar.PutInt32(argP)
+		ar.PutInt32(touchedP)
 	}
 	return sw, put
 }

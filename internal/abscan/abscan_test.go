@@ -4,13 +4,16 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/packing"
 	"repro/internal/par"
 	"repro/internal/respect"
 	"repro/internal/trace"
+	"repro/internal/tree"
 	"repro/internal/wd"
 )
 
@@ -22,6 +25,31 @@ func scanTree(t *testing.T, g *graph.Graph, parent []int32, parallelPaths bool, 
 		t.Fatalf("Scan: %v", err)
 	}
 	return f
+}
+
+// packingTrees returns up to count trees that packing.SampleTrees draws
+// from g, as parent arrays rooted at vertex 0: the long-path shapes the
+// engine actually scans, not random spanning trees.
+func packingTrees(tb testing.TB, g *graph.Graph, seed int64, count int) [][]int32 {
+	tb.Helper()
+	pk, err := packing.SampleTrees(g, packing.Options{Seed: seed, TreeCount: count}, nil, nil)
+	if err != nil {
+		tb.Fatalf("SampleTrees: %v", err)
+	}
+	out := make([][]int32, 0, len(pk.Trees))
+	for _, tr := range pk.Trees {
+		edges := make([][2]int32, len(tr))
+		for j, ei := range tr {
+			e := g.Edge(int(ei))
+			edges[j] = [2]int32{e.U, e.V}
+		}
+		parent, err := tree.RootEdgeList(g.N(), edges, 0, nil, nil)
+		if err != nil {
+			tb.Fatalf("RootEdgeList: %v", err)
+		}
+		out = append(out, parent)
+	}
+	return out
 }
 
 // TestScanMatchesRespect is the ground-truth property test: on random
@@ -195,5 +223,65 @@ func TestScanMeters(t *testing.T) {
 	}
 	if m1.Work() != m2.Work() || m1.Depth() != m2.Depth() {
 		t.Fatalf("meter differs across modes: (%d,%d) vs (%d,%d)", m1.Work(), m1.Depth(), m2.Work(), m2.Depth())
+	}
+}
+
+// TestScanMatchesRespectOnPackingTrees is the ground-truth test on the
+// trees the engine really scans: packing.SampleTrees trees of graphs
+// with n >= 512, whose minimum cut is not a singleton, so ladder bases
+// reach 1024 and heavy paths run long. Every tree's scan must match
+// internal/respect in both path-scheduling modes, and the best tree
+// must find a cut below the minimum weighted degree — the min-degree
+// fallback cannot answer these graphs.
+func TestScanMatchesRespectOnPackingTrees(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(41))
+	cycleW := make([]int64, 600)
+	for i := range cycleW {
+		cycleW[i] = 100 + rng.Int63n(900)
+	}
+	cases := []struct {
+		name string
+		pl   *gen.Planted
+	}{
+		{"planted", gen.PlantedCut(256, 300, 6, 42)},
+		{"dumbbell", gen.Dumbbell(256, 5, 43)},
+		{"cycle", gen.Cycle(cycleW)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			g := c.pl.G
+			minDeg := slices.Min(g.WeightedDegrees())
+			if c.pl.CutValue >= minDeg {
+				t.Fatalf("minimum cut %d is not below the minimum weighted degree %d", c.pl.CutValue, minDeg)
+			}
+			pool := par.NewPool(2)
+			defer pool.Close()
+			best := maxValue
+			for i, parent := range packingTrees(t, g, 44, 4) {
+				want, err := respect.TwoRespect(g, parent, false, nil, nil)
+				if err != nil {
+					t.Fatalf("tree %d: respect: %v", i, err)
+				}
+				for _, pp := range []bool{false, true} {
+					f := scanTree(t, g, parent, pp, pool)
+					if f.Value != want.Value {
+						t.Fatalf("tree %d parallelPaths=%v: abscan=%d respect=%d", i, pp, f.Value, want.Value)
+					}
+					inCut, err := Witness(g, parent, f, pool, nil)
+					if err != nil {
+						t.Fatalf("tree %d: witness: %v", i, err)
+					}
+					if v := g.CutValue(inCut); v != f.Value {
+						t.Fatalf("tree %d: witness re-evaluates to %d, found %d", i, v, f.Value)
+					}
+				}
+				best = min(best, want.Value)
+			}
+			if best >= minDeg {
+				t.Fatalf("best tree cut %d is not below the minimum weighted degree %d", best, minDeg)
+			}
+		})
 	}
 }

@@ -19,11 +19,13 @@ import (
 // fallback — but searches each sampled tree with the Anderson–Blelloch
 // compact 2-respecting scan (internal/abscan: heavy-path decomposition
 // + one contraction ladder per sweep) instead of the bough
-// decomposition and batched Minimum Path operations. Both searches are
-// exact per tree and the packing is seeded identically, so the engine
-// returns bit-identical cut values to geissmann at every pool width; it
-// just gets there with one log factor less work and far less machinery
-// per tree.
+// decomposition and batched Minimum Path operations. The packing is
+// seeded identically, so the engine returns geissmann's cut values at
+// every pool width wherever the bough scan finds each tree's minimum;
+// per tree it does O(m log n) path
+// updates at O(log² n) ladder work each, O(m log³ n), with far less
+// machinery. Unlike the bough scan, which can miss a 2-respecting pair
+// on some trees, the scan is exact per tree.
 type andersonBlellochEngine struct{}
 
 func (andersonBlellochEngine) Name() string { return "andersonblelloch" }

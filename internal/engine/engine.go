@@ -13,8 +13,8 @@
 //     near-linear work, polylog depth, Monte Carlo, boost-decomposable.
 //   - "andersonblelloch": the same tree packing searched with the
 //     Anderson–Blelloch compact 2-respecting scan (internal/abscan) —
-//     one log factor less work per tree, bit-identical cut values to
-//     geissmann.
+//     O(m log³ n) work per tree (O(m log n) path updates, each
+//     O(log² n) ladder work), the same cut values as geissmann.
 //   - "stoerwagner": the exact deterministic O(n³) baseline — the right
 //     choice for small or dense graphs where polylog machinery loses to
 //     tuned sequential code.

@@ -17,7 +17,8 @@ package engine
 // same trees and find bit-identical values, so the choice between them
 // is purely a constant-factor race between geissmann's
 // bough-decomposition scan and the Anderson–Blelloch heavy-path scan
-// (internal/abscan), which does one log factor less work per tree.
+// (internal/abscan), which does O(m log³ n) work per tree: O(m log n)
+// path updates, each O(log² n) ladder work.
 // Karger–Stein is never auto-selected: on every measured cell it is
 // dominated by one of the other three (it exists for cross-checking and
 // as the Table 1 comparator).
