@@ -11,10 +11,19 @@
 // Two standard reductions keep the skeleton near-linear despite large
 // weights: an edge's weight is clamped to the current cut estimate ĉ
 // before sampling (no edge heavier than ĉ can cross a cut of value ≤ ĉ, so
-// cuts at or below the estimate are unaffected), and materialized
-// multiplicity is capped at the number of packing rounds (a tree uses an
-// edge at most once per round, so further parallel copies are never
-// load-relevant).
+// cuts at or below the estimate are unaffected), and the multiplicity is
+// capped at the number of packing rounds (a tree uses an edge at most once
+// per round, so further parallel copies are never load-relevant).
+//
+// The skeleton is stored weighted: one entry per sampled original edge,
+// its copy count c in Edge.W. The greedy packing is nonetheless exact for
+// the unit-copy multigraph. There, each round loads the cheapest of an
+// edge's parallel copies, so after L selections its copies carry loads
+// ⌊L/c⌋ and ⌈L/c⌉; only the cheapest can enter a minimum spanning tree,
+// and the keys (⌊L/c⌋, entry) rank entries exactly as the multigraph's
+// (load, copy) keys rank their cheapest copies. The trees, and the
+// maximum load max ⌈L/c⌉, are those of the multigraph, while every
+// Borůvka round scans m entries rather than Σc copies.
 package packing
 
 import (
@@ -22,7 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -34,16 +43,17 @@ import (
 )
 
 // scratch holds the per-attempt working buffers of the estimate loop: the
-// materialized skeleton (edges + origin map) and the greedy packing's
-// load array. Skeleton sizes are stable across attempts of a solve and
-// across solves of similar graphs, so recycling the backing arrays makes
-// repeat solves allocation-free here; the buffers are recycled through a
-// package pool because one scratch spans calls into several executors'
-// primitives.
+// weighted skeleton (edges + origin map) and the greedy packing's
+// per-entry selection counts and MST costs. Skeleton sizes are stable
+// across attempts of a solve and across solves of similar graphs, so
+// recycling the backing arrays makes repeat solves allocation-free here;
+// the buffers are recycled through a package pool because one scratch
+// spans calls into several executors' primitives.
 type scratch struct {
 	edges  []graph.Edge
 	origin []int32
 	load   []int64
+	cost   []int64
 }
 
 var scratchPool sync.Pool
@@ -59,15 +69,16 @@ func putScratch(sc *scratch) {
 	scratchPool.Put(sc)
 }
 
-// loadFor returns sc.load resized to n and zeroed.
-func (sc *scratch) loadFor(n int) []int64 {
+// loadsFor returns sc.load and sc.cost resized to n and zeroed.
+func (sc *scratch) loadsFor(n int) (load, cost []int64) {
 	if cap(sc.load) < n {
-		sc.load = make([]int64, n)
-		return sc.load
+		sc.load, sc.cost = make([]int64, n), make([]int64, n)
+		return sc.load, sc.cost
 	}
-	sc.load = sc.load[:n]
+	sc.load, sc.cost = sc.load[:n], sc.cost[:n]
 	clear(sc.load)
-	return sc.load
+	clear(sc.cost)
+	return sc.load, sc.cost
 }
 
 // Options control the sampling and packing constants. The defaults are
@@ -112,7 +123,8 @@ type Result struct {
 	Estimate int64
 	// PackValue is the packing value rounds/maxLoad of the accepted packing.
 	PackValue float64
-	// SkeletonCopies is the size of the accepted skeleton multigraph.
+	// SkeletonCopies is the size of the accepted skeleton as a multigraph:
+	// the sum of its entries' copy counts, not the number of entries.
 	SkeletonCopies int
 	// Packings counts how many estimate guesses ran a full packing.
 	Packings int
@@ -147,12 +159,14 @@ func binomial(w int64, p float64, cap int64, rng *rand.Rand) int64 {
 	}
 }
 
-// skeleton materializes the sampled multigraph into sc's recycled
-// buffers: each original edge e contributes Binomial(min(w(e), clamp), p)
-// unit copies (capped at multCap). origin maps each copy back to its
-// original edge index. The returned slices are views of sc's buffers and
-// are invalidated by the next skeleton call on the same scratch.
-func skeleton(g *graph.Graph, p float64, clamp, multCap int64, rng *rand.Rand, sc *scratch) (edges []graph.Edge, origin []int32) {
+// skeleton samples the skeleton into sc's recycled buffers: each original
+// edge e gets c = Binomial(min(w(e), clamp), p) copies (capped at
+// multCap), stored as one entry with W = c when c > 0. origin maps each
+// entry back to its original edge index, and copies is Σc, the size of
+// the skeleton as a multigraph. The returned slices are views of sc's
+// buffers and are invalidated by the next skeleton call on the same
+// scratch.
+func skeleton(g *graph.Graph, p float64, clamp, multCap int64, rng *rand.Rand, sc *scratch) (edges []graph.Edge, origin []int32, copies int) {
 	edges, origin = sc.edges[:0], sc.origin[:0]
 	for i, e := range g.Edges() {
 		if e.U == e.V {
@@ -162,14 +176,14 @@ func skeleton(g *graph.Graph, p float64, clamp, multCap int64, rng *rand.Rand, s
 		if w > clamp {
 			w = clamp
 		}
-		c := binomial(w, p, multCap, rng)
-		for j := int64(0); j < c; j++ {
-			edges = append(edges, graph.Edge{U: e.U, V: e.V, W: 1})
+		if c := binomial(w, p, multCap, rng); c > 0 {
+			edges = append(edges, graph.Edge{U: e.U, V: e.V, W: c})
 			origin = append(origin, int32(i))
+			copies += int(c)
 		}
 	}
 	sc.edges, sc.origin = edges, origin
-	return edges, origin
+	return edges, origin, copies
 }
 
 // EstimateCut returns a constant-factor-leaning-low estimate of the
@@ -195,7 +209,7 @@ func EstimateCut(g *graph.Graph, seed int64, pool *par.Pool, m *wd.Meter) int64 
 	for j := int(math.Log2(float64(upper)/lnN)) + 1; j > 0; j-- {
 		p := math.Ldexp(1, -j) // 2^-j
 		clamp := int64(3*lnN/p) + 1
-		edges, _ := skeleton(g, p, clamp, int64(8*lnN)+4, rng, sc)
+		edges, _, _ := skeleton(g, p, clamp, int64(8*lnN)+4, rng, sc)
 		if len(edges) < n-1 {
 			continue
 		}
@@ -276,22 +290,23 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 			p = 1
 		}
 		asp := sp.Child("pack-attempt").AttrInt("guess", int64(guess)).AttrInt("target", ch)
-		edges, origin := skeleton(g, p, ch, int64(rounds), rng, sc)
+		edges, origin, copies := skeleton(g, p, ch, int64(rounds), rng, sc)
 		atFloor := p >= 1
 		sink.AddPackRounds(int64(rounds))
-		trees, maxLoad, ok, err := pack(ctx, n, edges, rounds, sc.loadFor(len(edges)), pool, m, sink, asp)
+		load, cost := sc.loadsFor(len(edges))
+		trees, maxLoad, ok, err := pack(ctx, n, edges, rounds, load, cost, pool, m, sink, asp)
 		if err != nil {
 			asp.End()
 			return nil, err
 		}
-		asp.AttrInt("skeleton_copies", int64(len(edges)))
+		asp.AttrInt("skeleton_copies", int64(copies))
 		if ok {
 			tau := float64(rounds) / float64(maxLoad)
 			if tau >= threshold || atFloor {
 				asp.Attr("accepted", "true").End()
 				res.Estimate = ch
 				res.PackValue = tau
-				res.SkeletonCopies = len(edges)
+				res.SkeletonCopies = copies
 				res.Packings = guess + 1
 				res.Trees = chooseTrees(trees, origin, treeCount, rng)
 				return res, nil
@@ -308,14 +323,16 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 	}
 }
 
-// pack greedily packs spanning trees: each round takes a minimum spanning
-// tree with respect to the current integer loads, then increments the
-// loads of its edges. Returns the trees (as skeleton edge indices), the
-// maximum load (the packing value is rounds/maxLoad), and whether the
-// skeleton was connected. Each round is a cancellation seam, a progress
-// tick, and a "round" child span of sp: rounds are the packing phase's
-// unit of work.
-func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load []int64, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (trees [][]int32, maxLoad int64, ok bool, err error) {
+// pack greedily packs spanning trees in the weighted skeleton: each round
+// takes a minimum spanning tree with respect to the cheapest copy's load
+// cost[i] = ⌊load[i]/c⌋, where load[i] counts the rounds that selected
+// entry i and c = edges[i].W, then adds one to the selection count of
+// each of its entries. Returns the trees (as skeleton entry indices), the maximum copy
+// load max ⌈load/c⌉ (the packing value is rounds/maxLoad), and whether
+// the skeleton was connected. Each round is a cancellation seam, a
+// progress tick, and a "round" child span of sp: rounds are the packing
+// phase's unit of work.
+func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load, cost []int64, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (trees [][]int32, maxLoad int64, ok bool, err error) {
 	if len(edges) < n-1 {
 		return nil, 0, false, nil
 	}
@@ -324,22 +341,23 @@ func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load []int
 			return nil, 0, false, fmt.Errorf("packing: canceled at round %d/%d: %w", r, rounds, err)
 		}
 		rsp := sp.Child("round").AttrInt("round", int64(r))
-		sel, comps := mst.Forest(n, edges, load, pool, m)
+		sel, comps := mst.Forest(n, edges, cost, pool, m)
 		if comps != 1 {
 			rsp.End()
 			return nil, 0, false, nil
 		}
 		for _, i := range sel {
 			load[i]++
+			cost[i] = load[i] / edges[i].W
 		}
 		trees = append(trees, sel)
 		rsp.End()
 		sink.PackRoundDone()
 	}
 	maxLoad = 1
-	for _, l := range load {
-		if l > maxLoad {
-			maxLoad = l
+	for i, l := range load {
+		if top := (l + edges[i].W - 1) / edges[i].W; top > maxLoad {
+			maxLoad = top
 		}
 	}
 	return trees, maxLoad, true, nil
@@ -348,7 +366,7 @@ func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load []int
 // chooseTrees samples treeCount trees uniformly from the packing (Karger:
 // a constant fraction of the packing's weight 2-respects the minimum cut,
 // so uniform sampling from the greedy packing finds a good tree w.h.p.),
-// translates skeleton copies to original edge indices, and deduplicates.
+// translates skeleton entries to original edge indices, and deduplicates.
 func chooseTrees(trees [][]int32, origin []int32, treeCount int, rng *rand.Rand) [][]int32 {
 	seen := make(map[string]bool)
 	var out [][]int32
@@ -358,7 +376,7 @@ func chooseTrees(trees [][]int32, origin []int32, treeCount int, rng *rand.Rand)
 		for j, ei := range t {
 			orig[j] = origin[ei]
 		}
-		sort.Slice(orig, func(a, b int) bool { return orig[a] < orig[b] })
+		slices.Sort(orig)
 		key := treeKey(orig)
 		if !seen[key] {
 			seen[key] = true

@@ -2,11 +2,13 @@ package packing
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/mst"
+	"repro/internal/par"
 )
 
 func TestBinomialBasics(t *testing.T) {
@@ -159,23 +161,62 @@ func TestSampleTreesDisconnected(t *testing.T) {
 	}
 }
 
+// TestSampleTreesDeterministicInSeed pins that the whole Result depends on
+// the seed alone: not on the run, and not on the pool width.
 func TestSampleTreesDeterministicInSeed(t *testing.T) {
 	g := gen.RandomConnected(40, 160, 10, 9)
 	a, err := SampleTrees(g, Options{Seed: 5}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SampleTrees(g, Options{Seed: 5}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, width := range []int{1, 2, 4} {
+		pool := par.NewPool(width)
+		b, err := SampleTrees(g, Options{Seed: 5}, pool, nil)
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("width %d: same seed, different outcome: %+v vs %+v", width, a, b)
+		}
 	}
-	if len(a.Trees) != len(b.Trees) || a.Estimate != b.Estimate {
-		t.Fatal("same seed, different outcome")
+}
+
+// TestSkeletonOneEntryPerEdge pins the weighted skeleton's size: at most
+// one entry per non-loop original edge, in original-edge order, each
+// carrying its capped copy count, with Σ W equal to the reported copies.
+// Its size therefore bounds mst's input by m, not by the copy count.
+func TestSkeletonOneEntryPerEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	w := make([]int64, 4096)
+	for i := range w {
+		w[i] = 1000 + rng.Int63n(1001)
 	}
-	for i := range a.Trees {
-		for j := range a.Trees[i] {
-			if a.Trees[i][j] != b.Trees[i][j] {
-				t.Fatal("same seed, different trees")
+	for gi, g := range []*graph.Graph{gen.Cycle(w).G, repeatsAndLoops(3)} {
+		for _, c := range []struct {
+			p              float64
+			clamp, multCap int64
+		}{{1, 1 << 40, 128}, {1, 40, 128}, {0.3, 500, 7}, {0.01, 1 << 40, 1 << 40}} {
+			edges, origin, copies := skeleton(g, c.p, c.clamp, c.multCap, rng, &scratch{})
+			if len(edges) != len(origin) {
+				t.Fatalf("graph %d: %d entries, %d origins", gi, len(edges), len(origin))
+			}
+			sum := 0
+			for i, e := range edges {
+				o := g.Edge(int(origin[i]))
+				if i > 0 && origin[i] <= origin[i-1] {
+					t.Fatalf("graph %d: origin %d after %d: more than one entry per edge", gi, origin[i], origin[i-1])
+				}
+				if o.U == o.V || e.U != o.U || e.V != o.V {
+					t.Fatalf("graph %d: entry %d = %+v for original %+v", gi, i, e, o)
+				}
+				if e.W < 1 || e.W > min(o.W, c.clamp, c.multCap) {
+					t.Fatalf("graph %d: entry %d has %d copies, cap %d", gi, i, e.W, min(o.W, c.clamp, c.multCap))
+				}
+				sum += int(e.W)
+			}
+			if sum != copies {
+				t.Fatalf("graph %d: Σ W = %d, copies = %d", gi, sum, copies)
 			}
 		}
 	}
@@ -195,5 +236,31 @@ func TestPackValueBelowSkeletonCut(t *testing.T) {
 	}
 	if res.PackValue > 2.01 || res.PackValue < 0.5 {
 		t.Fatalf("cycle pack value %f outside [0.5, 2]", res.PackValue)
+	}
+}
+
+// BenchmarkSampleTrees measures the whole packing pipeline on the two
+// shapes where skeleton size dominates: a long weighted cycle (weights
+// in [1000, 2000], as in the long-cycle solve benchmark) and a planted
+// two-community graph.
+func BenchmarkSampleTrees(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	w := make([]int64, 8192)
+	for i := range w {
+		w[i] = 1000 + rng.Int63n(1001)
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{{"cycle-8192", gen.Cycle(w).G}, {"planted-2048", gen.PlantedCut(1024, 1024, 16, 1).G}}
+	for _, c := range graphs {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SampleTrees(c.g, Options{Seed: 3}, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
